@@ -282,6 +282,15 @@ impl LaneState {
         }
     }
 
+    /// DIN-decodes `raw`, the corrected array bits of `addr`, with the
+    /// line's flags; without a codec the bits are the data.
+    fn decode(&self, codec: Option<&DinCodec>, addr: LineAddr, raw: &LineBuf) -> LineBuf {
+        match codec {
+            Some(codec) => codec.decode(raw, self.flags.get(&addr).copied().unwrap_or_default()),
+            None => *raw,
+        }
+    }
+
     /// Queues a completion, keeping the earliest-completion cache exact.
     fn push_completion(&mut self, c: Completion) {
         if self.completion_min.is_none_or(|m| c.at < m) {
@@ -389,14 +398,8 @@ impl Lane<'_, '_> {
         if let Some(data) = self.ls.salvaged.get(&addr) {
             return *data;
         }
-        let patched = self.store.read_line(addr);
-        match self.sh.codec {
-            Some(codec) => {
-                let flags = self.ls.flags.get(&addr).copied().unwrap_or_default();
-                codec.decode(&patched, flags)
-            }
-            None => patched,
-        }
+        self.ls
+            .decode(self.sh.codec.as_ref(), addr, &self.store.read_line(addr))
     }
 
     // ----- submission -----
@@ -1244,13 +1247,7 @@ impl Lane<'_, '_> {
         if let Some(paused) = &self.ls.bank.paused {
             cleanse_job_disturbances(self.sh.geometry, paused, line, &mut patched);
         }
-        let data = match self.sh.codec {
-            Some(codec) => {
-                let flags = self.ls.flags.get(&line).copied().unwrap_or_default();
-                codec.decode(&patched, flags)
-            }
-            None => patched,
-        };
+        let data = self.ls.decode(self.sh.codec.as_ref(), line, &patched);
         self.ls.salvaged.insert(line, data);
         self.ls.distress.remove(&line);
         self.ls.escalated.remove(&line);
@@ -1719,14 +1716,7 @@ impl MemoryController {
         if let Some(data) = lane.salvaged.get(&addr) {
             return *data;
         }
-        let patched = self.store.read_line(addr);
-        match &self.codec {
-            Some(codec) => {
-                let flags = lane.flags.get(&addr).copied().unwrap_or_default();
-                codec.decode(&patched, flags)
-            }
-            None => patched,
-        }
+        lane.decode(self.codec.as_ref(), addr, &self.store.read_line(addr))
     }
 
     /// Whether a write to `addr` can be accepted right now without

@@ -84,7 +84,6 @@ impl FnwCodec {
         stored_old: &LineBuf,
         old_flags: DinFlags,
     ) -> (LineBuf, DinFlags) {
-        let mut encoded = *stored_old;
         let mut flags = DinFlags::default();
         for g in 0..self.groups() {
             let lo = g * self.group_bits;
@@ -102,27 +101,15 @@ impl FnwCodec {
                 std::cmp::Ordering::Greater => false,
                 std::cmp::Ordering::Equal => old_flags.inverted(g),
             };
-            for b in lo..hi {
-                encoded.set_bit(b, plain.bit(b) ^ flag);
-            }
             flags = flags.with(g, flag);
         }
-        (encoded, flags)
+        (flags.invert_groups(plain, self.group_bits), flags)
     }
 
     /// Decodes stored bits back to plain data.
     #[must_use]
     pub fn decode(&self, stored: &LineBuf, flags: DinFlags) -> LineBuf {
-        let mut plain = *stored;
-        for g in 0..self.groups() {
-            if flags.inverted(g) {
-                let lo = g * self.group_bits;
-                for b in lo..lo + self.group_bits {
-                    plain.set_bit(b, !stored.bit(b));
-                }
-            }
-        }
-        plain
+        flags.invert_groups(stored, self.group_bits)
     }
 
     /// Cells the encoded write programs (FNW's objective).
