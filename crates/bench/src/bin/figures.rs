@@ -137,29 +137,6 @@ fn bench_main(args: Vec<String>) {
             "parallel sweep output diverged from sequential"
         );
     }
-    for c in &results.cell_scaling {
-        let curve: Vec<String> = c
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "{}w {:.3e} wr/s ({:.2}x)",
-                    p.workers, p.writes_per_sec, p.speedup
-                )
-            })
-            .collect();
-        println!(
-            "cell scaling {}/{}: {} — identical: {}",
-            c.scheme,
-            c.bench,
-            curve.join(", "),
-            c.identical
-        );
-        assert!(
-            c.identical,
-            "intra-cell worker counts produced diverging results"
-        );
-    }
     for t in &results.replay {
         println!(
             "{} ({} schemes x {:?}, {} accesses/core): inline {:.2}s, \

@@ -19,7 +19,7 @@ use sdpcm_cachesim::hierarchy::HierarchyConfig;
 use sdpcm_core::experiments::{fig11, run_cell};
 use sdpcm_core::hiersim::{HierarchyParams, HierarchySim};
 use sdpcm_core::sweep;
-use sdpcm_core::{ExperimentParams, HierTrace, RunStats, Scheme, SystemSim};
+use sdpcm_core::{ExperimentParams, HierTrace, RunStats, Scheme};
 use sdpcm_engine::prof;
 use sdpcm_trace::BenchKind;
 
@@ -54,36 +54,6 @@ pub struct FigureTiming {
     /// Workers the parallel run used.
     pub workers: usize,
     /// Whether the parallel rows matched the sequential rows exactly.
-    pub identical: bool,
-}
-
-/// One point of the intra-cell scaling curve: the same `(scheme,
-/// benchmark)` cell simulated with the controller's bank lanes sharded
-/// over `workers` threads.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellScalingPoint {
-    /// `SDPCM_CELL_WORKERS` value the point was measured at.
-    pub workers: usize,
-    /// Mean wall-clock seconds per simulation.
-    pub mean_secs: f64,
-    /// Demand writes retired per wall-clock second.
-    pub writes_per_sec: f64,
-    /// Throughput relative to the 1-worker point.
-    pub speedup: f64,
-}
-
-/// Intra-cell parallelism scaling of one cell (`SDPCM_CELL_WORKERS` =
-/// 1/2/4/8), with the determinism cross-check: every worker count must
-/// produce bit-identical `RunStats` and device content digest.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellScaling {
-    /// Scheme name.
-    pub scheme: String,
-    /// Benchmark name.
-    pub bench: String,
-    /// Throughput at each measured worker count.
-    pub points: Vec<CellScalingPoint>,
-    /// Whether all worker counts produced identical results.
     pub identical: bool,
 }
 
@@ -129,8 +99,6 @@ pub struct PerfResults {
     pub single_cells: Vec<SingleCell>,
     /// Figure-sweep timings.
     pub figures: Vec<FigureTiming>,
-    /// Intra-cell (bank-lane) scaling curves.
-    pub cell_scaling: Vec<CellScaling>,
     /// Capture-vs-replay timings.
     pub replay: Vec<ReplayTiming>,
     /// Merged profiler report over the whole harness run (present only
@@ -186,8 +154,6 @@ pub fn run(mode: &str, params: &ExperimentParams, workers: usize, profile: bool)
         identical: seq.1 == par.1,
     }];
 
-    let cell_scaling = vec![cell_scaling(mode, params)];
-
     let replay = vec![replay_timing(mode, params)];
 
     let profile = if profile {
@@ -205,57 +171,8 @@ pub fn run(mode: &str, params: &ExperimentParams, workers: usize, profile: bool)
         refs_per_core: params.refs_per_core,
         single_cells,
         figures,
-        cell_scaling,
         replay,
         profile,
-    }
-}
-
-/// The worker counts every scaling curve samples.
-const SCALING_WORKERS: [usize; 4] = [1, 2, 4, 8];
-
-/// Measures the intra-cell scaling curve of the hottest single cell
-/// (LazyC+PreRead on mcf): throughput at `SDPCM_CELL_WORKERS` 1/2/4/8,
-/// verifying that every worker count reproduces the 1-worker `RunStats`
-/// and device content digest bit for bit.
-fn cell_scaling(mode: &str, params: &ExperimentParams) -> CellScaling {
-    let scheme = Scheme::lazyc_preread();
-    let bench = BenchKind::Mcf;
-    let samples = if mode == "smoke" { 1 } else { 3 };
-
-    let cell = || {
-        let mut sim = SystemSim::build(&scheme, bench, params).expect("scaling cell build");
-        let stats = sim.run().expect("scaling cell run");
-        let digest = sim.controller().store().content_digest();
-        (stats, digest)
-    };
-
-    let mut reference: Option<(RunStats, u64)> = None;
-    let mut identical = true;
-    let mut points = Vec::new();
-    let mut base_secs = 0.0;
-    for workers in SCALING_WORKERS {
-        let (outcome, m) = with_cell_workers(workers, || (cell(), time_function(samples, cell)));
-        match &reference {
-            None => reference = Some(outcome),
-            Some(r) => identical &= *r == outcome,
-        }
-        let secs = m.mean_secs().max(1e-12);
-        if workers == 1 {
-            base_secs = secs;
-        }
-        points.push(CellScalingPoint {
-            workers,
-            mean_secs: m.mean_secs(),
-            writes_per_sec: reference.as_ref().map_or(0.0, |(s, _)| s.writes as f64) / secs,
-            speedup: base_secs / secs,
-        });
-    }
-    CellScaling {
-        scheme: scheme.name.clone(),
-        bench: bench.name().to_owned(),
-        points,
-        identical,
     }
 }
 
@@ -334,17 +251,7 @@ fn time_and_run(params: &ExperimentParams) -> (f64, Vec<sdpcm_core::experiments:
 /// Runs `f` with the sweep worker count pinned via the
 /// [`sweep::WORKERS_ENV`] environment variable, restoring it afterwards.
 fn with_workers<T>(workers: usize, f: impl FnOnce() -> T) -> T {
-    with_env(sweep::WORKERS_ENV, workers, f)
-}
-
-/// Runs `f` with the intra-cell worker count pinned via the
-/// [`sweep::CELL_WORKERS_ENV`] environment variable, restoring it
-/// afterwards.
-fn with_cell_workers<T>(workers: usize, f: impl FnOnce() -> T) -> T {
-    with_env(sweep::CELL_WORKERS_ENV, workers, f)
-}
-
-fn with_env<T>(var: &str, workers: usize, f: impl FnOnce() -> T) -> T {
+    let var = sweep::WORKERS_ENV;
     let prev = std::env::var(var).ok();
     std::env::set_var(var, workers.to_string());
     let out = f();
@@ -356,14 +263,15 @@ fn with_env<T>(var: &str, workers: usize, f: impl FnOnce() -> T) -> T {
 }
 
 /// Serializes the results as the `BENCH_sweep.json` document
-/// (`schema_version` 4; version 2 added the `replay` section, version 3
+/// (`schema_version` 5; version 2 added the `replay` section, version 3
 /// the optional `profile` section from `figures bench --profile`,
-/// version 4 the `cell_scaling` section and an honest `host_cores`).
+/// version 4 a `cell_scaling` section and an honest `host_cores`,
+/// version 5 dropped `cell_scaling` with the intra-cell worker knob).
 #[must_use]
 pub fn to_json(r: &PerfResults) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema_version\": 4,");
+    let _ = writeln!(s, "  \"schema_version\": 5,");
     let _ = writeln!(s, "  \"mode\": {},", json_str(&r.mode));
     let _ = writeln!(s, "  \"host_cores\": {},", r.host_cores);
     let _ = writeln!(s, "  \"seed\": {},", r.seed);
@@ -398,33 +306,6 @@ pub fn to_json(r: &PerfResults) -> String {
             json_num(f.sequential_secs / f.parallel_secs.max(1e-12)),
             f.identical,
             comma(i, r.figures.len()),
-        );
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"cell_scaling\": [\n");
-    for (i, c) in r.cell_scaling.iter().enumerate() {
-        let points: Vec<String> = c
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"workers\": {}, \"mean_secs\": {}, \"writes_per_sec\": {}, \
-                     \"speedup\": {}}}",
-                    p.workers,
-                    json_num(p.mean_secs),
-                    json_num(p.writes_per_sec),
-                    json_num(p.speedup),
-                )
-            })
-            .collect();
-        let _ = writeln!(
-            s,
-            "    {{\"scheme\": {}, \"bench\": {}, \"points\": [{}], \"identical\": {}}}{}",
-            json_str(&c.scheme),
-            json_str(&c.bench),
-            points.join(", "),
-            c.identical,
-            comma(i, r.cell_scaling.len()),
         );
     }
     s.push_str("  ],\n");
@@ -530,25 +411,6 @@ mod tests {
                 workers: 4,
                 identical: true,
             }],
-            cell_scaling: vec![CellScaling {
-                scheme: "LazyC+PreRead".to_owned(),
-                bench: "mcf".to_owned(),
-                points: vec![
-                    CellScalingPoint {
-                        workers: 1,
-                        mean_secs: 0.4,
-                        writes_per_sec: 1e4,
-                        speedup: 1.0,
-                    },
-                    CellScalingPoint {
-                        workers: 8,
-                        mean_secs: 0.1,
-                        writes_per_sec: 4e4,
-                        speedup: 4.0,
-                    },
-                ],
-                identical: true,
-            }],
             replay: vec![ReplayTiming {
                 sweep: "hier-fig11".to_owned(),
                 schemes: 7,
@@ -567,15 +429,13 @@ mod tests {
     fn json_has_schema_and_metrics() {
         let j = to_json(&sample());
         for needle in [
-            "\"schema_version\": 4",
+            "\"schema_version\": 5",
             "\"mode\": \"smoke\"",
             "\"host_cores\": 4",
             "\"cycles_per_sec\": 1000000",
             "\"figure\": \"fig11\"",
             "\"speedup\": 2.5",
             "\"identical\": true",
-            "\"cell_scaling\": [",
-            "\"points\": [{\"workers\": 1,",
             "\"sweep\": \"hier-fig11\"",
             "\"benches\": [\"wrf\", \"mcf\"]",
             "\"capture_secs\": 0.25",

@@ -37,29 +37,6 @@ pub fn default_workers() -> usize {
     host_parallelism()
 }
 
-/// Environment variable selecting the *intra-cell* worker count: threads
-/// the memory controller uses to process independent bank lanes inside a
-/// single simulation ([`crate::SystemSim`] / [`crate::HierarchySim`]).
-/// Orthogonal to [`WORKERS_ENV`], which fans out across sweep cells.
-pub const CELL_WORKERS_ENV: &str = "SDPCM_CELL_WORKERS";
-
-/// Intra-cell worker count: `SDPCM_CELL_WORKERS` when set to a positive
-/// integer, otherwise 1 (serial). Deliberately *not* defaulted to the
-/// host's parallelism: figure sweeps already saturate the machine at the
-/// cell level, and nesting both would oversubscribe it. Results are
-/// bit-identical at every value.
-#[must_use]
-pub fn default_cell_workers() -> usize {
-    if let Ok(v) = std::env::var(CELL_WORKERS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    1
-}
-
 /// Environment variable overriding the host-core count recorded by
 /// `figures bench` (for containers whose affinity mask hides the real
 /// machine).

@@ -76,8 +76,7 @@ pub struct CtrlConfig {
     pub decommission_after: u32,
     /// Capacity of each bank's salvage pool (controller-held line
     /// buffers serving decommissioned lines at `forward_latency`).
-    /// Per bank so decommission decisions stay bank-local — a
-    /// requirement of the sharded advance path.
+    /// Per bank so decommission decisions stay bank-local.
     pub salvage_pool_lines: usize,
 }
 
@@ -190,7 +189,7 @@ impl Bank {
 /// geometry, the verification policy, the (pure) disturbance injector,
 /// the DIN codec, and the counter-based key material for hard-error
 /// planting. All of it is either a shared borrow of controller state or
-/// `Copy` data, so one instance can be handed to many worker threads.
+/// `Copy` data.
 struct LaneShared<'a> {
     cfg: &'a CtrlConfig,
     geometry: &'a MemGeometry,
@@ -210,12 +209,11 @@ struct LaneShared<'a> {
 /// All mutable per-bank controller state.
 ///
 /// Each bank owns its queues, its architectural metadata (DIN flags,
-/// salvage pool, degradation ladder), and — crucially — its *own
-/// permanent accumulators* (statistics, energy, completions). Per-bank
-/// accumulation keeps every floating-point and histogram sum in a fixed
-/// bank-local order regardless of how lanes are scheduled across worker
-/// threads; [`MemoryController::stats`] folds the lanes together in
-/// bank order at read time, so aggregate totals are path-independent.
+/// salvage pool, degradation ladder), and its *own permanent
+/// accumulators* (statistics, energy). Per-bank accumulation keeps every
+/// floating-point and histogram sum in a fixed bank-local order however
+/// the controller interleaves banks; [`MemoryController::stats`] folds
+/// the lanes together in bank order at read time.
 struct LaneState {
     bank_id: u16,
     bank: Bank,
@@ -239,14 +237,6 @@ struct LaneState {
     stats: CtrlStats,
     /// This lane's energy slice.
     energy: EnergyMeter,
-    /// Completions queued by this lane, drained by `advance_into`.
-    completions: Vec<Completion>,
-    /// Earliest queued completion (exact: pushes can only lower it,
-    /// drains recompute it).
-    completion_min: Option<Cycle>,
-    /// First broken deep invariant seen by this lane, surfaced as a
-    /// `CtrlError` at the next `submit`/`advance`.
-    pending_anomaly: Option<&'static str>,
     /// Next sequence number for internal (gap-move) request IDs.
     next_internal_seq: u64,
     /// Scratch: word-line victims of the most recent injection.
@@ -272,9 +262,6 @@ impl LaneState {
             inject_epochs: FxHashMap::default(),
             stats: CtrlStats::new(),
             energy: EnergyMeter::new(EnergyParams::default()),
-            completions: Vec::new(),
-            completion_min: None,
-            pending_anomaly: None,
             next_internal_seq: 0,
             wl_scratch: Vec::new(),
             bl_hits: [Vec::new(), Vec::new()],
@@ -291,23 +278,6 @@ impl LaneState {
         }
     }
 
-    /// Queues a completion, keeping the earliest-completion cache exact.
-    fn push_completion(&mut self, c: Completion) {
-        if self.completion_min.is_none_or(|m| c.at < m) {
-            self.completion_min = Some(c.at);
-        }
-        self.completions.push(c);
-    }
-
-    /// Records a broken deep invariant; the first one is surfaced as a
-    /// [`CtrlError::InternalAnomaly`] at the next API-boundary call.
-    fn note_anomaly(&mut self, what: &'static str) {
-        self.stats.internal_anomalies.inc();
-        if self.pending_anomaly.is_none() {
-            self.pending_anomaly = Some(what);
-        }
-    }
-
     /// Allocates a request ID for an internal (gap-move) write. IDs
     /// count down from the top of a per-bank window so they never
     /// collide with demand IDs or with another bank's internal IDs.
@@ -318,24 +288,90 @@ impl LaneState {
     }
 }
 
+/// Controller-level outputs every lane writes into.
+#[derive(Default)]
+struct Sink {
+    /// Completions not yet handed out, sorted by `(at, id)`. Every
+    /// request completes exactly once and internal IDs are unique per
+    /// bank, so the key is unique and the order total. Completions are
+    /// mostly queued in time order, so insertion is mostly a push.
+    completions: VecDeque<Completion>,
+    /// First broken deep invariant noted by any lane, surfaced as a
+    /// [`CtrlError::InternalAnomaly`] at the next `submit`/`advance`.
+    anomaly: Option<&'static str>,
+}
+
+impl Sink {
+    /// Counts an anomaly in the noting bank's `stats` slice and keeps it
+    /// if it is the first one pending.
+    fn note_anomaly(&mut self, stats: &mut CtrlStats, what: &'static str) {
+        stats.internal_anomalies.inc();
+        self.anomaly.get_or_insert(what);
+    }
+}
+
+/// Per-bank time of the operation in flight ([`EventIndex::IDLE`] when
+/// none), with the `(time, bank)` minimum kept incrementally: a write
+/// only rescans the array when it moves the current minimum's bank later.
+struct EventIndex {
+    at: Vec<u64>,
+    min: (u64, usize),
+}
+
+impl EventIndex {
+    const IDLE: u64 = u64::MAX;
+
+    fn new(banks: usize) -> EventIndex {
+        EventIndex {
+            at: vec![EventIndex::IDLE; banks],
+            min: (EventIndex::IDLE, 0),
+        }
+    }
+
+    /// The entry for a bank whose operation in flight (if any) ends at
+    /// `busy_until`.
+    fn entry(bank: &Bank) -> u64 {
+        bank.op
+            .as_ref()
+            .map_or(EventIndex::IDLE, |_| bank.busy_until.0)
+    }
+
+    /// The earliest `(busy_until, bank)` of any operation in flight.
+    fn earliest(&self) -> Option<(Cycle, usize)> {
+        (self.min.0 != EventIndex::IDLE).then_some((Cycle(self.min.0), self.min.1))
+    }
+
+    #[inline]
+    fn set(&mut self, bank: usize, t: u64) {
+        let old = std::mem::replace(&mut self.at[bank], t);
+        if (t, bank) < self.min {
+            self.min = (t, bank);
+        } else if bank == self.min.1 && t > old {
+            self.min = self.brute_min();
+        }
+    }
+
+    fn brute_min(&self) -> (u64, usize) {
+        let mut min = (EventIndex::IDLE, 0);
+        for (bank, &t) in self.at.iter().enumerate() {
+            if t < min.0 {
+                min = (t, bank);
+            }
+        }
+        min
+    }
+}
+
 /// A bank lane: one bank's mutable state plus its disjoint slice of the
 /// device store, processed against the shared read-only context. The
 /// entire per-bank controller logic lives here; lanes touch nothing
 /// outside their own bank (bit-line neighbours are same-bank adjacent
-/// rows), so distinct lanes can run on distinct threads.
+/// rows) except the controller's [`Sink`].
 struct Lane<'a, 's> {
     sh: &'a LaneShared<'a>,
     ls: &'a mut LaneState,
     store: &'a mut StoreLane<'s>,
-}
-
-/// Runs one lane's due work on each `(LaneState, StoreLane)` pair of a
-/// worker's chunk — the body of both the spawned threads and the main
-/// thread's share of [`MemoryController::process_until_parallel`].
-fn run_lane_chunk(sh: &LaneShared<'_>, chunk: &mut [(&mut LaneState, StoreLane<'_>)], now: Cycle) {
-    for (ls, store) in chunk.iter_mut() {
-        Lane { sh, ls, store }.process_lane_until(now);
-    }
+    sink: &'a mut Sink,
 }
 
 /// Clears from `patched` every cell of `line` that `job` still tracks
@@ -379,17 +415,17 @@ fn cleanse_job_disturbances(
 }
 
 impl Lane<'_, '_> {
-    /// Brings this lane current to `now`: completes every due bank
-    /// operation in sequence and re-dispatches after each. Lanes are
-    /// mutually independent, so processing one to completion before
-    /// (or concurrently with) another yields the same per-lane states
-    /// as the old global time-ordered interleave.
-    fn process_lane_until(&mut self, now: Cycle) {
-        while self.ls.bank.op.is_some() && self.ls.bank.busy_until <= now {
-            let at = self.ls.bank.busy_until;
-            self.complete_op(at);
-            self.dispatch(at);
-        }
+    /// Queues a completion for [`MemoryController::advance_into`].
+    fn push_completion(&mut self, c: Completion) {
+        let queue = &mut self.sink.completions;
+        let i = queue.partition_point(|q| (q.at, q.id) < (c.at, c.id));
+        queue.insert(i, c);
+    }
+
+    /// Records a broken deep invariant; the first one is surfaced as a
+    /// [`CtrlError::InternalAnomaly`] at the next API-boundary call.
+    fn note_anomaly(&mut self, what: &'static str) {
+        self.sink.note_anomaly(&mut self.ls.stats, what);
     }
 
     /// The architectural (error-corrected, DIN-decoded) contents of a
@@ -416,7 +452,7 @@ impl Lane<'_, '_> {
                 .stats
                 .read_latency_sketch
                 .record((at - access.arrive).0);
-            self.ls.push_completion(Completion {
+            self.push_completion(Completion {
                 id: access.id,
                 at,
                 was_write: false,
@@ -461,7 +497,7 @@ impl Lane<'_, '_> {
                 .stats
                 .read_latency_sketch
                 .record((at - access.arrive).0);
-            self.ls.push_completion(Completion {
+            self.push_completion(Completion {
                 id: access.id,
                 at,
                 was_write: false,
@@ -482,7 +518,7 @@ impl Lane<'_, '_> {
             *buf = data;
             self.ls.stats.salvaged_writes.inc();
             let at = now + self.sh.cfg.forward_latency;
-            self.ls.push_completion(Completion {
+            self.push_completion(Completion {
                 id: access.id,
                 at,
                 was_write: true,
@@ -500,7 +536,7 @@ impl Lane<'_, '_> {
                 .find(|e| e.access.addr == access.addr)
             {
                 e.access.kind = AccessKind::Write(data);
-                self.ls.push_completion(Completion {
+                self.push_completion(Completion {
                     id: access.id,
                     at: now,
                     was_write: true,
@@ -709,8 +745,7 @@ impl Lane<'_, '_> {
                     // The diff is computed when the phase is scheduled;
                     // its absence is a bookkeeping bug. Deny the cancel
                     // (the write runs to completion) and surface it.
-                    self.ls
-                        .note_anomaly("array-write phase in flight without its diff");
+                    self.note_anomaly("array-write phase in flight without its diff");
                     return;
                 };
                 if !self.absorb_cancel_collateral(addr, &diff) {
@@ -729,8 +764,7 @@ impl Lane<'_, '_> {
             }
             other => {
                 self.ls.bank.op = other;
-                self.ls
-                    .note_anomaly("cancellation target changed type mid-check");
+                self.note_anomaly("cancellation target changed type mid-check");
             }
         }
     }
@@ -789,7 +823,7 @@ impl Lane<'_, '_> {
 
     fn complete_op(&mut self, at: Cycle) {
         let Some(op) = self.ls.bank.op.take() else {
-            self.ls.note_anomaly("completion fired on an idle bank");
+            self.note_anomaly("completion fired on an idle bank");
             return;
         };
         match op {
@@ -802,7 +836,7 @@ impl Lane<'_, '_> {
                     .record((at - access.arrive).0);
                 self.ls.energy.charge_read(512, false);
                 let data = self.architectural_line(access.addr);
-                self.ls.push_completion(Completion {
+                self.push_completion(Completion {
                     id: access.id,
                     at,
                     was_write: false,
@@ -858,8 +892,7 @@ impl Lane<'_, '_> {
     fn step_duration(&mut self, job: &mut WriteJob) -> Cycle {
         let t = self.sh.cfg.timing;
         let Some(step) = job.steps.front() else {
-            self.ls
-                .note_anomaly("write job scheduled with no remaining step");
+            self.note_anomaly("write job scheduled with no remaining step");
             return Cycle(1);
         };
         match step {
@@ -869,8 +902,7 @@ impl Lane<'_, '_> {
             Step::ArrayWrite => {
                 let addr = job.entry.access.addr;
                 let AccessKind::Write(plain) = job.entry.access.kind else {
-                    self.ls
-                        .note_anomaly("array-write step on a non-write access");
+                    self.note_anomaly("array-write step on a non-write access");
                     return t.read;
                 };
                 self.plant_hard(addr);
@@ -899,8 +931,7 @@ impl Lane<'_, '_> {
     /// the program as VnC demands.
     fn finish_step(&mut self, job: &mut WriteJob, at: Cycle) {
         let Some(step) = job.steps.pop_front() else {
-            self.ls
-                .note_anomaly("write job completed with no step to finish");
+            self.note_anomaly("write job completed with no step to finish");
             return;
         };
         let t = self.sh.cfg.timing;
@@ -916,8 +947,7 @@ impl Lane<'_, '_> {
             }
             Step::ArrayWrite => {
                 let (Some(diff), Some(encoded)) = (job.diff.take(), job.encoded.take()) else {
-                    self.ls
-                        .note_anomaly("array write lost its precomputed encoding");
+                    self.note_anomaly("array write lost its precomputed encoding");
                     job.steps.clear();
                     return;
                 };
@@ -936,7 +966,7 @@ impl Lane<'_, '_> {
                 self.store.ecp_mut(addr).clear_disturb();
                 job.committed = true;
                 self.ls.stats.writes.inc();
-                self.ls.push_completion(Completion {
+                self.push_completion(Completion {
                     id: job.entry.access.id,
                     at,
                     was_write: true,
@@ -956,7 +986,7 @@ impl Lane<'_, '_> {
                     job.injected[side.idx()].extend_from_slice(&self.ls.bl_hits[side.idx()]);
                 }
                 // Chaos bookkeeping: the controller drains these after
-                // the lane call returns (serial chaos path only).
+                // the lane call returns.
                 if self.sh.track_commits {
                     self.ls.recent_commits.push(addr);
                 }
@@ -1065,7 +1095,7 @@ impl Lane<'_, '_> {
     /// by `(line, epoch)` — the line's stable address key plus a
     /// per-line count of programming operations — so the outcome
     /// depends only on the line's own history, never on what other
-    /// lines (or banks, or worker threads) did in between. All buffers
+    /// lines (or banks) did in between. All buffers
     /// are lane-held scratch — the hot path allocates nothing once
     /// their capacities have grown.
     fn inject_for(
@@ -1283,7 +1313,7 @@ impl Lane<'_, '_> {
                 self.ls.salvaged.insert(line, d);
             }
             let at = at + self.sh.cfg.forward_latency;
-            self.ls.push_completion(Completion {
+            self.push_completion(Completion {
                 id: e.access.id,
                 at,
                 was_write: true,
@@ -1403,40 +1433,23 @@ pub struct MemoryController {
     /// slices. Aggregate views ([`MemoryController::stats`]) fold them
     /// in bank order.
     lanes: Vec<LaneState>,
+    /// When each bank's operation in flight completes — the only state
+    /// `next_event` and `process_until` read to find due work.
+    events: EventIndex,
+    /// Completion queue and pending anomaly, shared by all lanes.
+    sink: Sink,
     hard_plan: Option<(HardErrorModel, f64)>,
     /// Root stream for first-touch hard-error planting (keyed per line).
     plant_stream: RngStream,
     start_gap: Option<Vec<StartGap>>,
     chaos: Option<ChaosEngine>,
-    /// Sequential RNG for chaos victim selection — chaos scenarios run
-    /// on the serial path, where a shared draw order is well-defined.
+    /// Sequential RNG for chaos victim selection, drawn in the global
+    /// `(busy_until, bank)` processing order.
     chaos_rng: SimRng,
     fault_log: Vec<FaultEvent>,
     /// Recently committed write targets — the victim pool for chaos
     /// stuck-at bursts (bounded, deterministic order).
     recent_writes: VecDeque<LineAddr>,
-    /// Worker threads for [`MemoryController::advance`]; 1 = serial.
-    workers: usize,
-    /// Cached lane minima serving the `next_event` / `process_until` /
-    /// `advance_into` fast paths — those run once per event-loop
-    /// iteration (tens of millions of times per cell), almost always
-    /// with nothing due, and must not rescan 16 lanes each time. Outer
-    /// `None` = stale; every `&mut self` path that changes bank
-    /// occupancy or queues a completion resets it.
-    mins: std::cell::Cell<Option<EventMins>>,
-    /// Whether lane work ran since the last anomaly sweep. Anomalies
-    /// can only be noted while a lane processes, so `take_anomaly`
-    /// skips its 16-lane scan on the (dominant) no-work polls.
-    anomaly_scan: bool,
-}
-
-/// See [`MemoryController::event_mins`].
-#[derive(Clone, Copy)]
-struct EventMins {
-    /// Earliest `busy_until` across occupied banks.
-    op: Option<Cycle>,
-    /// Earliest queued completion across lanes.
-    completion: Option<Cycle>,
 }
 
 impl std::fmt::Debug for MemoryController {
@@ -1491,6 +1504,8 @@ impl MemoryController {
             injector,
             codec,
             lanes: (0..geometry.banks()).map(LaneState::new).collect(),
+            events: EventIndex::new(geometry.banks() as usize),
+            sink: Sink::default(),
             hard_plan: None,
             plant_stream,
             start_gap: cfg.scheme.start_gap_psi.map(|psi| {
@@ -1507,9 +1522,6 @@ impl MemoryController {
             chaos_rng: rng,
             fault_log: Vec::new(),
             recent_writes: VecDeque::new(),
-            workers: 1,
-            mins: std::cell::Cell::new(None),
-            anomaly_scan: false,
         })
     }
 
@@ -1520,8 +1532,7 @@ impl MemoryController {
     }
 
     /// Statistics collected so far — the per-bank lane slices folded in
-    /// bank order, so the totals are identical no matter how lanes were
-    /// scheduled across worker threads.
+    /// bank order.
     #[must_use]
     pub fn stats(&self) -> CtrlStats {
         let mut total = CtrlStats::new();
@@ -1548,22 +1559,6 @@ impl MemoryController {
         total
     }
 
-    /// Sets the worker-thread count used by
-    /// [`MemoryController::advance`] to process independent bank lanes
-    /// concurrently. `1` (the default) keeps processing on the calling
-    /// thread. Results are bit-identical at every worker count: lanes
-    /// share no mutable state, all draws are counter-keyed, and
-    /// aggregates fold in fixed bank order.
-    pub fn set_advance_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// The configured advance worker count.
-    #[must_use]
-    pub fn advance_workers(&self) -> usize {
-        self.workers
-    }
-
     /// Ages the DIMM: lines touched from now on receive hard errors
     /// sampled from `model` at `lifetime_fraction` (Figure 14).
     ///
@@ -1576,10 +1571,9 @@ impl MemoryController {
     }
 
     /// Installs a chaos scenario, replacing any previous one. Faults
-    /// fire as the committed-write counter crosses their trigger points.
-    /// While a scenario is installed the controller processes banks on
-    /// the serial global-time path regardless of the worker count, so
-    /// the scenario's shared draw order stays well-defined.
+    /// fire as the committed-write counter crosses their trigger points,
+    /// polled after every commit in the global `(busy_until, bank)`
+    /// processing order.
     pub fn install_chaos(&mut self, plan: ChaosPlan) {
         self.chaos = Some(ChaosEngine::new(plan));
     }
@@ -1625,6 +1619,45 @@ impl MemoryController {
         Ok(())
     }
 
+    /// Test-only probe: asserts the event index equals a recount of
+    /// every bank's operation in flight, that its cached minimum equals
+    /// a brute-force `(busy_until, bank)` minimum, and that the
+    /// completion queue holds strictly increasing `(at, id)` keys.
+    /// `tests/controller_stress.rs` calls this after every controller
+    /// interaction.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first divergence found.
+    #[doc(hidden)]
+    pub fn check_event_index(&self) -> Result<(), String> {
+        let mut brute = (EventIndex::IDLE, 0);
+        for (bi, l) in self.lanes.iter().enumerate() {
+            let want = EventIndex::entry(&l.bank);
+            if self.events.at[bi] != want {
+                return Err(format!(
+                    "bank {bi}: event index {} != recount {want}",
+                    self.events.at[bi]
+                ));
+            }
+            brute = brute.min((want, bi));
+        }
+        if self.events.min != brute {
+            return Err(format!(
+                "cached minimum {:?} != brute-force {brute:?}",
+                self.events.min
+            ));
+        }
+        let keys: Vec<_> = self.sink.completions.iter().map(|c| (c.at, c.id)).collect();
+        match keys.windows(2).find(|w| w[0] >= w[1]) {
+            Some(w) => Err(format!(
+                "completion queue holds {:?} before {:?}",
+                w[0], w[1]
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Captures queue state for diagnostics (livelock reports, error
     /// payloads). Idle banks are omitted from the per-bank list.
     #[must_use]
@@ -1658,15 +1691,10 @@ impl MemoryController {
         }
     }
 
-    /// Surfaces the first pending lane anomaly (in bank order),
-    /// attaching the current queue state.
+    /// Surfaces the first pending anomaly, attaching the current queue
+    /// state.
     fn take_anomaly(&mut self, now: Cycle) -> Result<(), CtrlError> {
-        if !self.anomaly_scan {
-            return Ok(());
-        }
-        self.anomaly_scan = false;
-        let what = self.lanes.iter_mut().find_map(|l| l.pending_anomaly.take());
-        match what {
+        match self.sink.anomaly.take() {
             Some(what) => Err(CtrlError::InternalAnomaly {
                 what,
                 snapshot: self.snapshot(now),
@@ -1675,10 +1703,11 @@ impl MemoryController {
         }
     }
 
-    /// Runs `f` on one bank's lane view. The lane borrows the shared
-    /// read-only context, its own `LaneState`, and its disjoint store
-    /// slice — all split borrows of `self`, built here in one body so
-    /// the borrow checker can see they never overlap.
+    /// Runs `f` on one bank's lane view, then records the bank's next
+    /// completion time in the event index. The lane borrows the shared
+    /// read-only context, its own `LaneState`, its disjoint store slice
+    /// and the sink — all split borrows of `self`, built here in one
+    /// body so the borrow checker can see they never overlap.
     fn with_lane<R>(&mut self, bank: usize, f: impl FnOnce(&mut Lane<'_, '_>) -> R) -> R {
         let sh = LaneShared {
             cfg: &self.cfg,
@@ -1695,8 +1724,12 @@ impl MemoryController {
             sh: &sh,
             ls: &mut self.lanes[bank],
             store: &mut store,
+            sink: &mut self.sink,
         };
-        f(&mut lane)
+        let r = f(&mut lane);
+        self.events
+            .set(bank, EventIndex::entry(&self.lanes[bank].bank));
+        r
     }
 
     /// Like [`MemoryController::architectural_line`], but `addr` is a
@@ -1785,38 +1818,16 @@ impl MemoryController {
 
     /// Earliest time anything observable happens: an in-flight bank
     /// operation completes or an already-scheduled completion (e.g. a
-    /// forwarded read) becomes due. One pass over the (16) lanes, each
-    /// serving both components from plain fields.
+    /// forwarded read) becomes due. Reads the event index and the head
+    /// of the completion queue only.
     #[must_use]
     pub fn next_event(&self) -> Option<Cycle> {
-        let m = self.event_mins();
-        match (m.op, m.completion) {
+        let op = self.events.earliest().map(|(at, _)| at);
+        let completion = self.sink.completions.front().map(|c| c.at);
+        match (op, completion) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
-    }
-
-    /// The cached lane minima, rescanned (and re-cached) only after a
-    /// mutation marked them stale.
-    fn event_mins(&self) -> EventMins {
-        if let Some(m) = self.mins.get() {
-            return m;
-        }
-        let mut op: Option<Cycle> = None;
-        let mut completion: Option<Cycle> = None;
-        for l in &self.lanes {
-            if l.bank.op.is_some() && op.is_none_or(|m| l.bank.busy_until < m) {
-                op = Some(l.bank.busy_until);
-            }
-            if let Some(c) = l.completion_min {
-                if completion.is_none_or(|m| c < m) {
-                    completion = Some(c);
-                }
-            }
-        }
-        let m = EventMins { op, completion };
-        self.mins.set(Some(m));
-        m
     }
 
     /// Whether any queue or bank still holds work.
@@ -1838,8 +1849,6 @@ impl MemoryController {
             }
             self.with_lane(i, |lane| lane.dispatch(now));
         }
-        self.mins.set(None);
-        self.anomaly_scan = true;
     }
 
     /// Hands a request to the controller.
@@ -1885,8 +1894,6 @@ impl MemoryController {
             }
             lane.dispatch(now);
         });
-        self.mins.set(None);
-        self.anomaly_scan = true;
         Ok(())
     }
 
@@ -1974,8 +1981,10 @@ impl MemoryController {
             arrive: now,
         };
         if self.submit_physical(copy, now).is_err() {
-            self.lanes[bank].note_anomaly("Start-Gap copy targeted an invalid address");
-            self.anomaly_scan = true;
+            self.sink.note_anomaly(
+                &mut self.lanes[bank].stats,
+                "Start-Gap copy targeted an invalid address",
+            );
         }
     }
 
@@ -2005,139 +2014,41 @@ impl MemoryController {
         out.clear();
         self.process_until(now);
         self.take_anomaly(now)?;
-        // Cached fast path: nothing due (the event loop polls far more
-        // often than completions mature).
-        if self.event_mins().completion.is_none_or(|m| m > now) {
-            return Ok(());
-        }
-        let mut drained = false;
-        for lane in &mut self.lanes {
-            if lane.completion_min.is_some_and(|m| m <= now) {
-                lane.completions.retain(|c| {
-                    if c.at <= now {
-                        out.push(*c);
-                        false
-                    } else {
-                        true
-                    }
-                });
-                lane.completion_min = lane.completions.iter().map(|c| c.at).min();
-                drained = true;
-            }
-        }
-        self.mins.set(None);
-        if drained {
-            // Index-ordered merge across lanes: the global (at, id)
-            // order is independent of which lane drained first.
-            out.sort_unstable_by_key(|c| (c.at, c.id));
-        }
+        let queue = &mut self.sink.completions;
+        let due = queue.partition_point(|c| c.at <= now);
+        out.extend(queue.drain(..due));
         Ok(())
     }
 
-    /// Completes every bank operation due by `now` and re-dispatches.
+    /// Completes every bank operation due by `now` and re-dispatches, in
+    /// global `(busy_until, bank)` order.
     ///
-    /// Bank lanes are mutually independent — every RNG draw is keyed by
-    /// `(line, epoch)`, every accumulator is lane-local — so due lanes
-    /// can be processed in any order, or concurrently on worker threads,
-    /// and produce bit-identical state. The serial path walks lanes in
-    /// bank order; the parallel path shards due lanes across
-    /// `self.workers` threads and joins before returning. With a chaos
-    /// scenario installed, processing falls back to the legacy global
-    /// `(completion time, bank)` order so the scenario's shared
-    /// victim-selection draws stay well-defined.
+    /// Banks share no mutable state — every RNG draw is keyed by
+    /// `(line, epoch)` and every accumulator is lane-local — so any
+    /// interleaving of due banks yields the same per-lane states; the
+    /// global order is the one that also keeps a chaos plan's shared
+    /// victim draws well-defined. A commit under a chaos plan polls the
+    /// plan before its bank re-dispatches.
     fn process_until(&mut self, now: Cycle) {
-        // Cached fast path: no bank operation due (every submit and
-        // every event-loop poll lands here first).
-        if self.event_mins().op.is_none_or(|m| m > now) {
-            return;
-        }
-        self.mins.set(None);
-        self.anomaly_scan = true;
-        let due = self
-            .lanes
-            .iter()
-            .filter(|l| l.bank.op.is_some() && l.bank.busy_until <= now)
-            .count();
-        if due == 0 {
-            return;
-        }
-        if self.chaos.is_some() {
-            self.process_until_chaos(now);
-        } else if self.workers > 1 && due > 1 {
-            self.process_until_parallel(now, due);
-        } else {
-            for i in 0..self.lanes.len() {
-                if self.lanes[i].bank.op.is_some() && self.lanes[i].bank.busy_until <= now {
-                    self.with_lane(i, |lane| lane.process_lane_until(now));
+        while let Some((at, bank)) = self.events.earliest().filter(|&(at, _)| at <= now) {
+            let poll = self.with_lane(bank, |lane| {
+                lane.complete_op(at);
+                let poll = !lane.ls.recent_commits.is_empty();
+                if !poll {
+                    lane.dispatch(at);
                 }
+                poll
+            });
+            if poll {
+                self.drain_commits(bank, at);
+                self.with_lane(bank, |lane| lane.dispatch(at));
             }
         }
-    }
-
-    /// Serial chaos-mode processing in global `(busy_until, bank)`
-    /// order, polling the fault plan after every committed write.
-    fn process_until_chaos(&mut self, now: Cycle) {
-        loop {
-            let mut best: Option<(Cycle, usize)> = None;
-            for (i, l) in self.lanes.iter().enumerate() {
-                if l.bank.op.is_some()
-                    && l.bank.busy_until <= now
-                    && best.is_none_or(|(t, _)| l.bank.busy_until < t)
-                {
-                    best = Some((l.bank.busy_until, i));
-                }
-            }
-            let Some((at, i)) = best else { break };
-            self.with_lane(i, |lane| lane.complete_op(at));
-            self.drain_commits(i, at);
-            self.with_lane(i, |lane| lane.dispatch(at));
-        }
-    }
-
-    /// Shards due lanes across worker threads. Each worker processes a
-    /// contiguous chunk of `(LaneState, StoreLane)` pairs to completion;
-    /// the main thread takes the first chunk. Joining at the scope exit
-    /// is the per-step barrier.
-    fn process_until_parallel(&mut self, now: Cycle, due: usize) {
-        let sh = LaneShared {
-            cfg: &self.cfg,
-            geometry: &self.geometry,
-            policy: &self.policy,
-            injector: &self.injector,
-            codec: &self.codec,
-            hard_plan: self.hard_plan,
-            plant_stream: self.plant_stream,
-            track_commits: false,
-        };
-        let store_lanes = self.store.lanes_mut();
-        let mut jobs: Vec<(&mut LaneState, StoreLane<'_>)> = self
-            .lanes
-            .iter_mut()
-            .zip(store_lanes)
-            .filter(|(l, _)| l.bank.op.is_some() && l.bank.busy_until <= now)
-            .collect();
-        let workers = self.workers.min(due);
-        let per = jobs.len().div_ceil(workers);
-        let sh = &sh;
-        std::thread::scope(|scope| {
-            let mut chunks = jobs.chunks_mut(per);
-            let first = chunks.next();
-            for chunk in chunks {
-                scope.spawn(move || run_lane_chunk(sh, chunk, now));
-            }
-            if let Some(chunk) = first {
-                run_lane_chunk(sh, chunk, now);
-            }
-        });
     }
 
     /// Hands a lane's freshly committed write addresses to the chaos
-    /// harness, polling the fault plan once per commit (the legacy
-    /// per-write granularity).
+    /// harness, polling the fault plan once per commit.
     fn drain_commits(&mut self, bank: usize, at: Cycle) {
-        if self.lanes[bank].recent_commits.is_empty() {
-            return;
-        }
         let commits = std::mem::take(&mut self.lanes[bank].recent_commits);
         for addr in commits {
             self.recent_writes.push_back(addr);
@@ -2146,7 +2057,6 @@ impl MemoryController {
             }
             self.apply_chaos(at);
         }
-        // Hand the (drained) buffer's capacity back to the lane.
     }
 
     // ----- chaos harness -----
@@ -2170,7 +2080,10 @@ impl MemoryController {
                 if self.injector.set_storm(mult).is_err() {
                     // ChaosPlan::new validated the multiplier; reaching
                     // here means the plan was corrupted in flight.
-                    self.lanes[0].note_anomaly("chaos storm multiplier went invalid");
+                    self.sink.note_anomaly(
+                        &mut self.lanes[0].stats,
+                        "chaos storm multiplier went invalid",
+                    );
                     return;
                 }
             }
@@ -2824,5 +2737,57 @@ mod tests {
         c.submit(write(1, a, data, Cycle(0)), Cycle(0)).unwrap();
         let _ = run_until_idle(&mut c);
         assert_eq!(c.architectural_line(a), data, "ECP patches stuck cells");
+    }
+
+    /// The earliest pending event recomputed from scratch: every busy
+    /// bank's completion time and every queued completion.
+    fn brute_next_event(c: &MemoryController) -> Option<Cycle> {
+        let ops = c
+            .lanes
+            .iter()
+            .filter(|l| l.bank.op.is_some())
+            .map(|l| l.bank.busy_until);
+        ops.chain(c.sink.completions.iter().map(|q| q.at)).min()
+    }
+
+    #[test]
+    fn next_event_matches_brute_force_minimum() {
+        let mut c = ctrl(CtrlScheme::lazyc_preread().with_write_pausing());
+        let mut rng = SimRng::from_seed_label(5, "next-event");
+        let check = |c: &MemoryController| {
+            assert_eq!(c.next_event(), brute_next_event(c));
+            c.check_event_index().unwrap();
+        };
+        let mut now = Cycle::ZERO;
+        for i in 0..600u64 {
+            now += Cycle(rng.below(400));
+            // Four banks, adjacent rows: queues fill, drains arm, and
+            // several banks are due at once.
+            let addr = line(rng.below(4) as u16, 40 + rng.below(6) as u32, 0);
+            let access = if rng.chance(0.6) {
+                write(i, addr, patterned(i), now)
+            } else {
+                read(i, addr, now)
+            };
+            c.submit(access, now).unwrap();
+            check(&c);
+            if i % 3 == 0 {
+                let _ = c.advance(now).unwrap();
+                check(&c);
+            }
+            if i % 97 == 96 {
+                c.drain_all(now);
+                check(&c);
+            }
+        }
+        c.drain_all(now);
+        check(&c);
+        while let Some(t) = c.next_event() {
+            let _ = c.advance(t).unwrap();
+            check(&c);
+            c.drain_all(t);
+            check(&c);
+        }
+        assert!(c.is_idle());
     }
 }

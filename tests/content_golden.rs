@@ -1,7 +1,6 @@
 //! Absolute content-digest goldens.
 //!
-//! The relative goldens (`tests/replay_golden.rs`, `tests/cell_workers.rs`)
-//! pin that two ways of running the same simulation agree; this file pins
+//! The relative goldens (`tests/replay_golden.rs`) pin that two ways of running the same simulation agree; this file pins
 //! the simulation *output itself*. Any change that touches an RNG draw,
 //! the draw-derivation scheme, or the simulated write path will move
 //! these constants — that is the point. Such a change invalidates every
@@ -13,8 +12,9 @@
 //! values for this exact configuration were 0x3b33be6fbee0e0a7
 //! (baseline) and 0xe88236832b4cb32a (LazyC+PreRead).
 
-use sdpcm_core::{ExperimentParams, Scheme, SystemSim};
+use sdpcm_core::{ExperimentParams, FaultPlan, Scheme, SystemSim};
 use sdpcm_trace::BenchKind;
+use sdpcm_wd::chaos::{ChaosAction, FaultEvent};
 
 #[test]
 fn content_digests_match_pinned_goldens() {
@@ -38,4 +38,49 @@ fn content_digests_match_pinned_goldens() {
         );
         assert_eq!(stats.ctrl.writes.get(), writes, "{}", scheme.name);
     }
+}
+
+/// The chaos path pinned absolutely: a storm, a stuck-cell burst and an
+/// aging ramp fire mid-run on a multi-bank mcf cell, so the fault plan's
+/// victim draws and trigger points depend on the global order in which
+/// bank operations complete. The constants were computed on the
+/// controller that still ran chaos plans on a dedicated serial
+/// `(busy_until, bank)` path, before that path was folded into the one
+/// processing loop; they must not move.
+#[test]
+fn chaos_plan_cell_matches_pinned_golden() {
+    let params = ExperimentParams {
+        refs_per_core: 800,
+        ecp_entries: 2,
+        ..ExperimentParams::quick_test()
+    };
+    let mut sim = SystemSim::build(&Scheme::lazyc_preread(), BenchKind::Mcf, &params).unwrap();
+    sim.install_fault_plan(
+        FaultPlan::new()
+            .storm(100, 1.8, 400)
+            .stuck_burst(300, 4, 2)
+            .aging_ramp(600, 0.5)
+            .stuck_burst(900, 3, 1),
+    )
+    .unwrap();
+    let stats = sim.run().unwrap();
+    assert_eq!(
+        sim.controller().store().content_digest(),
+        0xdead5907f7138638,
+        "chaos cell: content digest moved"
+    );
+    assert_eq!(stats.ctrl.writes.get(), 3035);
+    let log = sim.controller().fault_log();
+    assert_eq!(log.len(), 5, "storm begin/end, two bursts, one aging step");
+    assert_eq!(
+        log.last(),
+        Some(&FaultEvent {
+            at_write: 900,
+            at_cycle: 976_628,
+            action: ChaosAction::PlantStuckBurst {
+                lines: 3,
+                cells_per_line: 1,
+            },
+        })
+    );
 }

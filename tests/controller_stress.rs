@@ -359,8 +359,15 @@ proptest! {
 /// Drives a controller through a randomized schedule and asserts, after
 /// every interaction, that the per-bank write-queue address index (the
 /// O(1) fast path added for forwarding/coalescing/cancellation checks)
-/// is exactly the multiset a linear scan of the queue would produce.
+/// is exactly the multiset a linear scan of the queue would produce, and
+/// that the controller's event index and completion queue agree with a
+/// brute-force recount of bank state.
 fn run_index_audit(choice: &SchemeChoice, ops: &[Op]) -> Result<(), String> {
+    let audit = |ctrl: &MemoryController, when: &str| -> Result<(), String> {
+        ctrl.check_wq_index()
+            .and_then(|()| ctrl.check_event_index())
+            .map_err(|e| format!("{when}: {e}"))
+    };
     let mut scheme = CtrlScheme::baseline_vnc();
     scheme.lazy_correction = choice.lazyc;
     scheme.preread = choice.preread;
@@ -406,21 +413,19 @@ fn run_index_audit(choice: &SchemeChoice, ops: &[Op]) -> Result<(), String> {
             now,
         )
         .unwrap();
-        ctrl.check_wq_index()
-            .map_err(|e| format!("after submit {i}: {e}"))?;
+        audit(&ctrl, &format!("after submit {i}"))?;
         let _ = ctrl.advance(now).unwrap();
-        ctrl.check_wq_index()
-            .map_err(|e| format!("after advance {i}: {e}"))?;
+        audit(&ctrl, &format!("after advance {i}"))?;
     }
     ctrl.drain_all(now);
+    audit(&ctrl, "after drain_all")?;
     while let Some(t) = ctrl.next_event() {
         let _ = ctrl.advance(t).unwrap();
-        ctrl.check_wq_index()
-            .map_err(|e| format!("during drain: {e}"))?;
+        audit(&ctrl, "during drain")?;
         ctrl.drain_all(t);
+        audit(&ctrl, "after drain_all")?;
     }
-    ctrl.check_wq_index()
-        .map_err(|e| format!("after drain: {e}"))
+    audit(&ctrl, "after drain")
 }
 
 proptest! {
